@@ -283,7 +283,9 @@ class StreamingContingency:
         return flat
 
     def _mark_dirty(self, flat: np.ndarray) -> None:
-        group_flat = np.unique(flat // len(self._outcome))
+        self._mark_groups_dirty(np.unique(flat // len(self._outcome)))
+
+    def _mark_groups_dirty(self, group_flat: np.ndarray) -> None:
         cells = np.unravel_index(group_flat, self.group_shape)
         self._dirty.update(zip(*(axis.tolist() for axis in cells)))
 
@@ -361,21 +363,26 @@ class StreamingContingency:
                 raise ValidationError(
                     f"{error.args[0]!r} is not a level of axis {axis.name!r}"
                 ) from None
-            flat = flat * shape[position] + lut[column.codes]
+            flat *= shape[position]
+            flat += lut[column.codes]
         return flat
 
     def update_table(self, table: Table) -> "StreamingContingency":
         """Vectorised :meth:`update` from a table's categorical columns.
 
         Level-code translation happens once per level, not per row, so a
-        chunk of k rows costs one integer gather plus one scatter-add.
+        chunk of k rows costs one integer gather plus one `bincount` tally.
         """
         if table.n_rows == 0:
             return self
         flat = self._table_flat_indices(table, grow=True)
-        np.add.at(self._counts.reshape(-1), flat, 1)
+        counts = self._counts.reshape(-1)
+        # One dense tally: it also names the dirty groups without sorting.
+        hits = np.bincount(flat, minlength=counts.size)
+        counts += hits
+        touched = hits.reshape(-1, len(self._outcome)).any(axis=1)
+        self._mark_groups_dirty(np.flatnonzero(touched))
         self._n_rows += table.n_rows
-        self._mark_dirty(flat)
         return self
 
     def retract_table(self, table: Table) -> "StreamingContingency":

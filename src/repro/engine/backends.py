@@ -84,12 +84,12 @@ from repro.tabular.csv_io import (
     CsvPlan,
     CsvSpan,
     iter_csv_chunks,
-    iter_span_rows,
     plan_csv_chunks,
     plan_csv_shards,
 )
 from repro.tabular.schema import Schema
 from repro.tabular.table import Table
+from repro.tabular.tokenize import iter_code_blocks, iter_code_chunks
 
 __all__ = [
     "ChunkCounts",
@@ -253,22 +253,16 @@ def _worker_cache(path: str, token: tuple[int, int]) -> ColumnCache:
 
 def _count_csv_span(task: _SpanTask, span: CsvSpan) -> StreamingContingency:
     accumulator = task.spec.new_accumulator()
-    parsed = 0
-    buffer: list[list[str]] = []
-    for row in iter_span_rows(task.path, task.plan, span):
-        buffer.append(row)
-        if len(buffer) == task.batch_rows:
-            accumulator.update_table(task.plan.build_chunk(buffer))
-            parsed += len(buffer)
-            buffer = []
-    if buffer:
-        accumulator.update_table(task.plan.build_chunk(buffer))
-        parsed += len(buffer)
-    if span.n_rows is not None and parsed != span.n_rows:
+    blocks = iter_code_blocks(task.path, task.plan, span.start, span.end)
+    for chunk in iter_code_chunks(blocks, task.batch_rows):
+        accumulator.update_table(
+            chunk.to_table(task.plan.selected_names, task.plan.schema)
+        )
+    if span.n_rows is not None and accumulator.n_rows != span.n_rows:
         raise CsvParseError(
-            f"span parsed {parsed} rows but the chunk planner counted "
-            f"{span.n_rows}; the file mixes blank-cell lines (e.g. ',,') "
-            "with data — ingest it with the serial backend"
+            f"span parsed {accumulator.n_rows} rows but the chunk planner "
+            f"counted {span.n_rows}; a quoted cell spanning lines breaks "
+            "line-aligned spans — ingest the file with the serial backend"
         )
     return accumulator
 

@@ -1,12 +1,11 @@
 """Columnar binary cache: parse the CSV once, mmap it forever after.
 
-Profiling the audit pipeline says one thing loudly: **CSV tokenising
-dominates ingestion**. The counts, the merges, the epsilon kernels are
-all microseconds of NumPy; the seconds go to splitting commas and
-interning cell strings. For a *re*-audit of the same file — the common
-monitoring case: new estimator, new metric, new subset of workers —
-that parse work is pure waste. This module caches its result in a
-packed, mmap-able binary file (suffix ``.rccol``):
+Even vectorised, CSV tokenising is most of an audit's ingestion: the
+counts, the merges, the epsilon kernels are microseconds of NumPy. For
+a *re*-audit of the same file — the common monitoring case: new
+estimator, new metric, new subset of workers — that parse work is pure
+waste. This module caches its result in a packed, mmap-able binary
+file (suffix ``.rccol``):
 
 File layout (all integers little-endian, preamble identical in spirit
 to the ``.rcpk`` checkpoint format)::
@@ -30,11 +29,22 @@ take :func:`numpy.frombuffer` views — a chunk, a worker's row range, or
 the whole file costs a slice, not a parse, and independent worker
 processes share the page cache instead of each re-reading text.
 
+The build is one pass of the block tokenizer
+(:mod:`repro.tabular.tokenize`): each 1 MiB block of the data region
+arrives as per-column level tables plus int32 codes. Factorisation is
+exact, not hashed — a field's key is its own bytes, zero-padded, so two
+cells share a code exactly when their bytes are equal — and only the
+distinct values are decoded and stripped in Python. From the first
+block the fast path does not accept (a quote, non-ASCII, a lone
+``\r``, a field too long to pack) to the end of the file, code blocks
+of the same shape come from the ``csv.reader`` row path instead.
+Either path writes the same file bytes.
+
 Bit-identity with the parse path is a construction property, not a
-hope: a chunk rebuilt from the cache selects the levels *present* in
-its rows via :func:`numpy.unique` — and because the global table is
+hope: a chunk rebuilt from the cache keeps only the levels *present*
+in its rows (:meth:`CodeBlock.slice`) — and because the global table is
 canonically sorted, that subset is exactly the sorted-distinct level
-list :meth:`CsvPlan.build_chunk` infers for the same rows. Identical
+list :meth:`Column.categorical` infers for the same rows. Identical
 chunk tables in, identical counts, traces, and reports out.
 
 Staleness is a hard error. The header records the source file's size,
@@ -62,9 +72,9 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import CacheError, CsvParseError
-from repro.tabular.column import Column
 from repro.tabular.schema import Schema
 from repro.tabular.table import Table
+from repro.tabular.tokenize import CodeBlock, iter_code_blocks
 
 __all__ = [
     "COLCACHE_MAGIC",
@@ -82,9 +92,6 @@ COLCACHE_SUFFIX = ".rccol"
 # magic, version, header_len, header_crc, payload_len, payload_crc —
 # the same preamble struct the .rcpk checkpoints use.
 _PREAMBLE = struct.Struct("<4sHIIQI")
-
-# Rows factorised per batch while building (bounds peak string memory).
-_BUILD_CHUNK_ROWS = 65536
 
 
 def _canonical_key(level: Any):
@@ -143,19 +150,14 @@ def build_column_cache(
     source_path: str | Path,
     plan,
     cache_path: str | Path,
-    *,
-    chunk_rows: int = _BUILD_CHUNK_ROWS,
 ) -> Path:
     """Parse ``source_path`` once under ``plan`` and write the cache.
 
-    One streaming pass: rows are parsed in bounded chunks, each selected
-    column is factorised chunk-locally (the tested
-    :meth:`Column.categorical` path) and remapped into a growing global
-    level table, and the global tables are canonically sorted at the end
-    with one vectorised code remap per column. The write is atomic.
+    One streaming pass of the block tokenizer: each code block's level
+    table is remapped into a growing global level table per column,
+    and the global tables are canonically sorted at the end with one
+    vectorised code remap per column. The write is atomic.
     """
-    from repro.tabular.csv_io import iter_csv_chunks
-
     source_path = Path(source_path)
     cache_path = Path(cache_path)
     # The cache stores raw projected *strings*; any schema is applied at
@@ -163,27 +165,26 @@ def build_column_cache(
     raw_plan = dataclasses.replace(plan, schema=None)
     names = raw_plan.selected_names
     level_index: list[dict[Any, int]] = [{} for _ in names]
-    levels: list[list[Any]] = [[] for _ in names]
     parts: list[list[np.ndarray]] = [[] for _ in names]
     n_rows = 0
     # Fingerprint before reading data: if the file is appended mid-build
     # the parse sees the new rows and the fingerprint records the old
     # stat, so the very next open flags the cache stale — fail-safe.
     fingerprint = _source_fingerprint(source_path, raw_plan.data_offset)
-    for chunk in iter_csv_chunks(source_path, chunk_rows, plan=raw_plan):
-        n_rows += chunk.n_rows
-        for position, name in enumerate(names):
-            column = chunk.column(name)
-            index = level_index[position]
-            table = levels[position]
-            lut = np.empty(len(column.levels), dtype=np.int32)
-            for code, level in enumerate(column.levels):
-                slot = index.get(level)
-                if slot is None:
-                    slot = index[level] = len(table)
-                    table.append(level)
-                lut[code] = slot
-            parts[position].append(lut[column.codes])
+    for block in iter_code_blocks(source_path, raw_plan, raw_plan.data_offset):
+        n_rows += block.n_rows
+        for position, index in enumerate(level_index):
+            lut = np.array(
+                [
+                    index.setdefault(level, len(index))
+                    for level in block.levels[position]
+                ],
+                dtype=np.int32,
+            )
+            parts[position].append(lut[block.codes[position]])
+    levels = [list(index) for index in level_index]
+    if n_rows == 0:
+        raise CsvParseError("no data rows found")
 
     columns_meta: list[dict[str, Any]] = []
     payload_parts: list[bytes] = []
@@ -194,11 +195,7 @@ def build_column_cache(
         perm = np.empty(len(order), dtype=np.int32)
         for new_code, old_code in enumerate(order):
             perm[old_code] = new_code
-        codes = (
-            perm[np.concatenate(parts[position])]
-            if parts[position]
-            else np.empty(0, dtype=np.int32)
-        ).astype("<i4", copy=False)
+        codes = perm[np.concatenate(parts[position])].astype("<i4", copy=False)
         blob = codes.tobytes()
         columns_meta.append(
             {
@@ -326,10 +323,9 @@ class ColumnCache:
                     f"column cache {path} header failed its CRC check",
                     reason="crc",
                 )
-            if (
-                zlib.crc32(mapping[payload_start : payload_start + payload_len])
-                != payload_crc
-            ):
+            with memoryview(mapping) as view:  # CRC in place, no copy
+                crc = zlib.crc32(view[payload_start : payload_start + payload_len])
+            if crc != payload_crc:
                 raise CacheError(
                     f"column cache {path} payload failed its CRC check",
                     reason="crc",
@@ -425,29 +421,16 @@ class ColumnCache:
 
         Levels are narrowed to those *present* in the slice, in global
         (canonical) order — byte-identical to what
-        :meth:`CsvPlan.build_chunk` infers for the same rows, which is
+        :meth:`Column.categorical` infers for the same rows, which is
         what keeps cached ingestion bit-identical to parsed ingestion
         chunk by chunk, not just in aggregate. Schema-covered columns
         are decoded to their raw strings and rebuilt through the
         schema's own parser, exactly as the CSV path does.
         """
         start = max(0, int(start))
-        stop = min(self._n_rows, int(stop))
-        columns: list[Column] = []
-        for name in self._names:
-            codes = self._codes[name][start:stop]
-            present, remapped = np.unique(codes, return_inverse=True)
-            present_levels = [self._levels[name][code] for code in present]
-            if schema is not None and name in schema:
-                decoded = np.array(present_levels, dtype=object)[remapped]
-                columns.append(
-                    schema.field(name).build_column(decoded.tolist())
-                )
-            else:
-                columns.append(
-                    Column.from_codes(name, remapped, present_levels)
-                )
-        return Table(columns)
+        stop = max(start, min(self._n_rows, int(stop)))
+        block = self._block().slice(start, stop)
+        return block.to_table(self._names, schema)
 
     def chunk_tables(
         self,
@@ -476,22 +459,15 @@ class ColumnCache:
         integer-identical to the chunked path; only internal level
         order differs, which every canonical snapshot erases.
         """
-        columns: list[Column] = []
-        for name in self._names:
-            if schema is not None and name in schema:
-                decoded = np.array(self._levels[name], dtype=object)[
-                    self._codes[name]
-                ]
-                columns.append(
-                    schema.field(name).build_column(decoded.tolist())
-                )
-            else:
-                columns.append(
-                    Column.from_codes(
-                        name, self._codes[name], self._levels[name]
-                    )
-                )
-        return Table(columns)
+        return self._block().to_table(self._names, schema)
+
+    def _block(self) -> CodeBlock:
+        """The whole file as one code block over the global levels."""
+        return CodeBlock(
+            self._n_rows,
+            tuple(self._levels[name] for name in self._names),
+            tuple(self._codes[name] for name in self._names),
+        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -519,8 +495,6 @@ def ensure_column_cache(
     source_path: str | Path,
     plan,
     cache_path: str | Path,
-    *,
-    chunk_rows: int = _BUILD_CHUNK_ROWS,
 ) -> ColumnCache:
     """Open a valid cache, (re)building it when missing or stale.
 
@@ -535,5 +509,5 @@ def ensure_column_cache(
     except CacheError as error:
         if error.reason not in ("missing", "stale", "plan"):
             raise
-    build_column_cache(source_path, plan, cache_path, chunk_rows=chunk_rows)
+    build_column_cache(source_path, plan, cache_path)
     return ColumnCache.open(cache_path, source_path=source_path, plan=plan)

@@ -12,10 +12,21 @@ built on :class:`CsvPlan`, which resolves the header, the projection,
 and the byte offset where data begins *once* so that serial readers,
 resumed readers, and independent shard workers all parse identically.
 :func:`plan_csv_shards` (even byte-range splits) and
-:func:`plan_csv_chunks` (chunk-aligned splits from one cheap line scan)
+:func:`plan_csv_chunks` (chunk-aligned splits from one line scan)
 produce :class:`CsvSpan` byte ranges that workers can open, seek, and
 parse without any coordination — the substrate of
 :mod:`repro.engine.backends`.
+
+The data region is tokenised by :mod:`repro.tabular.tokenize`: 1 MiB
+blocks of printable ASCII are split, classified and factorised in
+NumPy, and from the first block holding anything else (a quote,
+non-ASCII, a lone ``\r``, a field too long to pack) the ``csv.reader``
+row path (:meth:`CsvPlan.iter_data_rows`) takes over to the end. Both
+paths yield the same rows, so the chunks, the column cache and the
+chunk planner's row counts do not depend on which one ran. Malformed
+input (``csv.Error``, bytes that are not UTF-8) raises
+:class:`CsvParseError`. A leading UTF-8 byte-order mark is not part of
+the first column name.
 """
 
 from __future__ import annotations
@@ -28,9 +39,17 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import CsvParseError
-from repro.tabular.column import CATEGORICAL, Column
+from repro.tabular.column import Column
 from repro.tabular.schema import Schema
 from repro.tabular.table import Table
+from repro.tabular.tokenize import (
+    iter_code_blocks,
+    iter_code_chunks,
+    iter_data_line_ends,
+    parse_errors,
+)
+
+_BOM = "\ufeff"
 
 __all__ = [
     "CsvPlan",
@@ -39,10 +58,19 @@ __all__ = [
     "write_csv",
     "read_csv_text",
     "iter_csv_chunks",
-    "iter_span_rows",
     "plan_csv_chunks",
     "plan_csv_shards",
 ]
+
+
+def _is_data_row(raw_row: Sequence[str], comment_prefix: str | None) -> bool:
+    """Whether a raw csv row is data: not blank (every cell empty after
+    stripping) and not a comment (first cell, stripped, starts with
+    ``comment_prefix``). Every reader applies this rule; the tokenizer's
+    vectorised forms of it are tested against it."""
+    if not "".join(raw_row).strip():  # every cell is whitespace
+        return False
+    return not (comment_prefix and raw_row[0].strip().startswith(comment_prefix))
 
 
 def read_csv(
@@ -97,15 +125,11 @@ def read_csv_text(
     skip_comment_prefix: str | None = None,
 ) -> Table:
     """Parse CSV content from a string; see :func:`read_csv`."""
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(text.removeprefix(_BOM)), delimiter=delimiter)
     rows: list[list[str]] = []
     for raw_row in reader:
-        if not raw_row or all(not cell.strip() for cell in raw_row):
-            continue
-        first = raw_row[0].strip()
-        if skip_comment_prefix and first.startswith(skip_comment_prefix):
-            continue
-        rows.append([cell.strip() for cell in raw_row])
+        if _is_data_row(raw_row, skip_comment_prefix):
+            rows.append([cell.strip() for cell in raw_row])
     if not rows:
         raise CsvParseError("no data rows found")
 
@@ -184,9 +208,10 @@ class CsvPlan:
     ) -> "CsvPlan":
         """Resolve the header and projection by reading the file prologue.
 
-        Only the leading blank/comment lines and (when ``header=True``)
-        the header line are read; ``data_offset`` is the byte offset of
-        the first data line, so any reader can ``seek`` straight to it.
+        Only a leading UTF-8 byte-order mark, the leading blank/comment
+        lines and (when ``header=True``) the header line are read;
+        ``data_offset`` is the byte offset of the first data line, so
+        any reader can ``seek`` straight to it.
         Duplicate header names raise :class:`CsvParseError` here — at
         plan time — rather than surfacing (or being silently masked by
         the projection) on the first parsed chunk.
@@ -203,20 +228,19 @@ class CsvPlan:
                     "supply names"
                 )
         with Path(path).open("rb") as handle:
-            offset = 0
+            if handle.read(3) != _BOM.encode("utf-8"):
+                handle.seek(0)
+            offset = handle.tell()
             while True:
                 line = handle.readline()
                 if not line:
                     raise CsvParseError("no data rows found")
-                cells = next(
-                    csv.reader([line.decode("utf-8")], delimiter=delimiter),
-                    [],
-                )
-                if not cells or all(not cell.strip() for cell in cells):
-                    offset = handle.tell()
-                    continue
-                first = cells[0].strip()
-                if skip_comment_prefix and first.startswith(skip_comment_prefix):
+                with parse_errors(path):
+                    cells = next(
+                        csv.reader([line.decode("utf-8")], delimiter=delimiter),
+                        [],
+                    )
+                if not _is_data_row(cells, skip_comment_prefix):
                     offset = handle.tell()
                     continue
                 if names is None:  # this line is the header
@@ -248,6 +272,11 @@ class CsvPlan:
         """Projected column names, in projection order."""
         return tuple(self.names[index] for index in self.selected)
 
+    def is_data_row(self, raw_row: Sequence[str]) -> bool:
+        """Whether a raw csv row is data under this plan; see
+        :func:`_is_data_row`."""
+        return _is_data_row(raw_row, self.skip_comment_prefix)
+
     def iter_data_rows(
         self,
         reader: Iterable[list[str]],
@@ -255,26 +284,26 @@ class CsvPlan:
         first_row_number: int = 1,
     ) -> Iterator[list[str]]:
         """Parse raw csv rows: skip blanks/comments, strip, validate
-        width, project, and apply missing-token replacement."""
+        width, project, and apply missing-token replacement.
+
+        This is the row path the tokenizer falls back to; see
+        :mod:`repro.tabular.tokenize`.
+        """
         width = len(self.names)
+        selected = self.selected
+        prefix = self.skip_comment_prefix
         number = first_row_number - 1
         for raw_row in reader:
-            if not raw_row or all(not cell.strip() for cell in raw_row):
+            if not _is_data_row(raw_row, prefix):
                 continue
-            first = raw_row[0].strip()
-            if self.skip_comment_prefix and first.startswith(
-                self.skip_comment_prefix
-            ):
-                continue
-            row = [cell.strip() for cell in raw_row]
             number += 1
-            if len(row) != width:
+            if len(raw_row) != width:
                 raise CsvParseError(
-                    f"row {number} has {len(row)} cells, expected {width}"
+                    f"row {number} has {len(raw_row)} cells, expected {width}"
                 )
-            # Projection pushdown: unselected cells are dropped here, so
-            # buffers never hold more than chunk_rows x len(selected).
-            row = [row[index] for index in self.selected]
+            # Projection pushdown: unselected cells are dropped unstripped,
+            # so buffers never hold more than chunk_rows x len(selected).
+            row = [raw_row[index].strip() for index in selected]
             if self.missing_replacement is not None:
                 row = [
                     self.missing_replacement
@@ -317,20 +346,6 @@ class CsvPlan:
         return ColumnCache.open(
             cache_path, source_path=source_path, plan=self
         )
-
-    def build_chunk(self, rows: Sequence[Sequence[str]]) -> Table:
-        """Build a chunk table from already-projected rows."""
-        chunk_columns: list[Column] = []
-        for position, index in enumerate(self.selected):
-            name = self.names[index]
-            raw_values = [row[position] for row in rows]
-            if self.schema is not None and name in self.schema:
-                chunk_columns.append(
-                    self.schema.field(name).build_column(raw_values)
-                )
-            else:
-                chunk_columns.append(Column.categorical(name, raw_values))
-        return Table(chunk_columns)
 
 
 @dataclass(frozen=True)
@@ -386,8 +401,9 @@ def iter_csv_chunks(
 
     Cell stripping and ``missing_token`` handling match
     :func:`read_csv`. Raises :class:`CsvParseError` on ragged rows, on
-    unknown ``columns`` names, and — like :func:`read_csv` — when the
-    file contains no data rows (after the generator is exhausted).
+    malformed CSV, on unknown ``columns`` names, and — like
+    :func:`read_csv` — when the file contains no data rows (after the
+    generator is exhausted).
     """
     if chunk_rows < 1:
         raise CsvParseError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -405,72 +421,13 @@ def iter_csv_chunks(
             skip_comment_prefix=skip_comment_prefix,
             columns=columns,
         )
-    with Path(path).open("rb") as binary:
-        binary.seek(plan.data_offset)
-        handle = io.TextIOWrapper(binary, encoding="utf-8", newline="")
-        reader = csv.reader(handle, delimiter=plan.delimiter)
-        buffer: list[list[str]] = []
-        yielded = False
-        rows = plan.iter_data_rows(reader)
-        for _ in range(skip_rows):
-            if next(rows, None) is None:
-                break
-        for row in rows:
-            buffer.append(row)
-            if len(buffer) == chunk_rows:
-                yield plan.build_chunk(buffer)
-                yielded = True
-                buffer = []
-        if buffer:
-            yield plan.build_chunk(buffer)
-            yielded = True
-        if not yielded and skip_rows == 0:
-            raise CsvParseError("no data rows found")
-
-
-def _iter_span_lines(
-    path: str | Path, span: CsvSpan, block_bytes: int = 1 << 20
-) -> Iterator[str]:
-    """Decoded lines of a span, read in bounded blocks.
-
-    Splitting on ``\\n`` is byte-safe in UTF-8 (no multi-byte sequence
-    contains ``0x0A``), so blocks never cut a character in a way that
-    breaks per-line decoding.
-    """
-    with Path(path).open("rb") as handle:
-        handle.seek(span.start)
-        remaining = span.end - span.start
-        tail = b""
-        while remaining > 0:
-            block = handle.read(min(block_bytes, remaining))
-            if not block:
-                break
-            remaining -= len(block)
-            lines = (tail + block).split(b"\n")
-            tail = lines.pop()
-            for line in lines:
-                yield line.decode("utf-8") + "\n"
-        if tail:
-            yield tail.decode("utf-8")
-
-
-def iter_span_rows(
-    path: str | Path, plan: CsvPlan, span: CsvSpan
-) -> Iterator[list[str]]:
-    """Parse one :class:`CsvSpan` independently of every other span.
-
-    Opens the file, seeks to ``span.start``, and reads the span's bytes
-    in bounded blocks — no shared handle, no coordination, and never
-    more than a block (not the whole span) in memory — then parses them
-    under ``plan``. This is the worker-side read of the sharded
-    execution backends. Spans are line-aligned by construction, so the
-    format must not contain newlines inside quoted cells (true of every
-    dataset this library reads; documented on the planners).
-    """
-    reader = csv.reader(
-        _iter_span_lines(path, span), delimiter=plan.delimiter
-    )
-    yield from plan.iter_data_rows(reader)
+    yielded = False
+    blocks = iter_code_blocks(path, plan, plan.data_offset)
+    for chunk in iter_code_chunks(blocks, chunk_rows, skip_rows):
+        yield chunk.to_table(plan.selected_names, plan.schema)
+        yielded = True
+    if not yielded and skip_rows == 0:
+        raise CsvParseError("no data rows found")
 
 
 def plan_csv_shards(
@@ -482,9 +439,10 @@ def plan_csv_shards(
     next line start, so every span begins and ends on a line boundary
     and the spans partition the data region exactly. No line is ever
     read twice and no scan of the whole file is needed — planning costs
-    ``n_shards`` seeks. Workers parse their span with
-    :func:`iter_span_rows`, opening the file independently (the spans
-    can even be shipped to different machines alongside the plan).
+    ``n_shards`` seeks. Workers tokenise their span
+    (:func:`repro.tabular.tokenize.iter_code_blocks`), opening the file
+    independently (the spans can even be shipped to different machines
+    alongside the plan).
 
     Line alignment assumes cells contain no embedded newlines (the CSV
     dialect this library reads and writes).
@@ -515,41 +473,29 @@ def plan_csv_chunks(
 ) -> list[CsvSpan]:
     """Chunk-aligned spans: one span per ``chunk_rows`` data lines.
 
-    One cheap line scan (no csv parsing, no cell materialisation)
-    records the byte offset of every chunk boundary, so shard workers
-    can parse *the same chunks* the serial reader would produce — which
-    is what makes a multi-process ``audit-stream`` trace byte-identical
-    to the serial one. Each span carries its counted ``n_rows``;
-    consumers verify the parsed row count against it and fail loudly if
-    the cheap scan rule (skip empty/comment lines) ever disagrees with
-    the full parse rule (e.g. a line of empty cells like ``,,``).
+    One line scan records the byte offset of every chunk boundary, so
+    shard workers can parse *the same chunks* the serial reader would
+    produce — which is what makes a multi-process ``audit-stream``
+    trace byte-identical to the serial one. Lines are classified by the
+    tokenizer's rule (:func:`repro.tabular.tokenize.iter_data_line_ends`),
+    the parser's own: blank lines — only delimiters and whitespace, like
+    ``,,`` — and comments are not data. Each span carries its counted
+    ``n_rows``; workers verify the parsed row count against it and fail
+    loudly on a disagreement (a quoted cell spanning lines).
     """
     if chunk_rows < 1:
         raise CsvParseError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    prefix = (
-        plan.skip_comment_prefix.encode("utf-8")
-        if plan.skip_comment_prefix
-        else None
-    )
     spans: list[CsvSpan] = []
-    with Path(path).open("rb") as handle:
-        handle.seek(plan.data_offset)
-        position = start = plan.data_offset
-        rows = 0
-        for line in handle:
-            position += len(line)
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if prefix and stripped.startswith(prefix):
-                continue
-            rows += 1
-            if rows == chunk_rows:
-                spans.append(CsvSpan(start, position, rows))
-                start = position
-                rows = 0
-        if rows:
-            spans.append(CsvSpan(start, position, rows))
+    start = plan.data_offset
+    pending = 0
+    for ends in iter_data_line_ends(path, plan, plan.data_offset):
+        cuts = ends[chunk_rows - pending - 1 :: chunk_rows]
+        for cut in cuts.tolist():
+            spans.append(CsvSpan(start, cut, chunk_rows))
+            start = cut
+        pending = (pending + len(ends)) % chunk_rows
+    if pending:
+        spans.append(CsvSpan(start, Path(path).stat().st_size, pending))
     return spans
 
 

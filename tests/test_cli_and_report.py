@@ -169,6 +169,30 @@ class TestCliAuditStream:
         )
         assert code == 2
 
+    def test_lone_carriage_return_header_is_a_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"g,r,y\ra,x,1\r")
+        code, _ = run_cli(
+            ["audit-stream", str(path), "--protected", "g", "--outcome", "y"]
+        )
+        assert code == 1
+        error = capsys.readouterr().err
+        assert error.startswith("error: malformed CSV")
+        assert "Traceback" not in error
+
+    def test_lone_carriage_return_in_data_on_the_pool(self, tmp_path, capsys):
+        # Serial ingestion reads "\r" as a row break, as csv.reader does;
+        # the pool's line-aligned span workers cannot, and say so.
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"g,r,y\na,x,1\rb,z,0\n")
+        base = ["audit-stream", str(path), "--protected", "g", "--outcome", "y"]
+        code, output = run_cli(base)
+        assert code == 0
+        assert "(total 2)" in output
+        code, _ = run_cli([*base, "--workers", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: malformed CSV")
+
     def test_negative_window(self, csv_file):
         code, _ = run_cli(
             [

@@ -22,20 +22,32 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
+    _count_task,
+    _SpanTask,
     tree_merge,
 )
 from repro.exceptions import CsvParseError, ValidationError
 from repro.tabular.csv_io import (
     CsvPlan,
+    CsvSpan,
     iter_csv_chunks,
-    iter_span_rows,
     plan_csv_chunks,
     plan_csv_shards,
 )
+from repro.tabular.tokenize import iter_code_blocks
 
 PROTECTED = ("gender", "race")
 OUTCOME = "hired"
 SPEC = ContingencySpec(PROTECTED, OUTCOME)
+
+
+def span_rows(path, plan, span):
+    """The rows a span worker parses from ``span``, as tuples of cells."""
+    return [
+        tuple(levels[code] for levels, code in zip(block.levels, codes))
+        for block in iter_code_blocks(path, plan, span.start, span.end)
+        for codes in zip(*block.codes)
+    ]
 
 
 def write_stream_csv(path, n_rows=997, seed=3, extra_column=True):
@@ -143,7 +155,7 @@ class TestSpanPlanners:
         sharded_rows = [
             tuple(row)
             for span in plan_csv_shards(stream_csv, plan, 5)
-            for row in iter_span_rows(stream_csv, plan, span)
+            for row in span_rows(stream_csv, plan, span)
         ]
         assert sharded_rows == serial_rows
 
@@ -158,7 +170,7 @@ class TestSpanPlanners:
         ]
         assert [span.n_rows for span in spans] == serial_sizes
         parsed_sizes = [
-            len(list(iter_span_rows(stream_csv, plan, span))) for span in spans
+            len(span_rows(stream_csv, plan, span)) for span in spans
         ]
         assert parsed_sizes == serial_sizes
 
@@ -167,7 +179,7 @@ class TestSpanPlanners:
         path.write_text("g,y\na,1\n")
         plan = CsvPlan.from_csv(path)
         spans = plan_csv_shards(path, plan, 64)
-        assert sum(len(list(iter_span_rows(path, plan, s))) for s in spans) == 1
+        assert sum(len(span_rows(path, plan, s)) for s in spans) == 1
 
 
 class TestTreeMerge:
@@ -229,18 +241,61 @@ class TestBackendBitIdentity:
         assert pooled.posterior.mean == serial.posterior.mean
 
     def test_worker_detects_scan_parse_disagreement(self, tmp_path):
-        # A line of empty cells is skipped by the parser but counted as
-        # data by the cheap chunk scanner: the worker must fail loudly
-        # rather than shift chunk boundaries silently.
-        path = tmp_path / "blanks.csv"
-        path.write_text("g,r,y\na,x,1\n,,\nb,z,0\n")
+        # Each chunk span carries the planner's row count; a worker whose
+        # parse disagrees must fail loudly rather than shift chunk
+        # boundaries silently. This span claims one row too many.
+        path = tmp_path / "rows.csv"
+        path.write_text("g,r,y\na,x,1\nb,z,0\n")
         plan = CsvPlan.from_csv(path)
-        spans = plan_csv_chunks(path, plan, 2)
-        source = CsvSource(str(path), chunk_rows=2)
+        (span,) = plan_csv_chunks(path, plan, 2)
+        wrong = CsvSpan(span.start, span.end, span.n_rows + 1)
         spec = ContingencySpec(("g", "r"), "y")
-        assert any(span.n_rows == 2 for span in spans)
+        task = _SpanTask(str(path), plan, spec, 0, 2, spans=(wrong,))
+        with pytest.raises(CsvParseError, match="serial backend"):
+            _count_task(task)
+
+    def test_pool_refuses_quoted_cell_spanning_lines(self, tmp_path):
+        # The planner counts physical lines; a quoted cell spanning two
+        # of them is one row to the parser, so the span check fires.
+        path = tmp_path / "quoted.csv"
+        path.write_text('g,r,y\na,"x\ny",1\nb,z,0\n')
+        source = CsvSource(str(path), chunk_rows=3)
+        spec = ContingencySpec(("g", "r"), "y")
+        assert SerialBackend().build(source, spec).n_rows == 2
         with pytest.raises(CsvParseError, match="serial backend"):
             list(ProcessPoolBackend(1).iter_chunk_counts(source, spec))
+
+    @pytest.mark.parallel
+    def test_blank_cell_lines_ingest_identically_on_pool(self, tmp_path):
+        # Lines of only delimiters and whitespace are not data to the
+        # parser, and the chunk planner now classifies them the same way.
+        path = tmp_path / "blanks.csv"
+        path.write_bytes(
+            b"g,r,y\na,x,1\n,,\nb,z,0\n , \t,\r\nc,x,1\n,,,,\n"
+            b"a,z,0\n\n \nb,x,1\n,,"
+        )
+        plan = CsvPlan.from_csv(path)
+        assert [span.n_rows for span in plan_csv_chunks(path, plan, 2)] == [
+            2, 2, 1
+        ]
+        source = CsvSource(str(path), chunk_rows=2)
+        spec = ContingencySpec(("g", "r"), "y")
+        serial = list(SerialBackend().iter_chunk_counts(source, spec))
+        with ProcessPoolBackend(2) as backend:
+            pooled = list(backend.iter_chunk_counts(source, spec))
+            built = backend.build(source, spec)
+        assert [c.n_rows for c in pooled] == [c.n_rows for c in serial]
+        assert [c.n_rows for c in serial] == [2, 2, 1]
+        for mine, theirs in zip(pooled, serial):
+            assert (
+                mine.counts.snapshot().factor_levels
+                == theirs.counts.snapshot().factor_levels
+            )
+            assert np.array_equal(
+                mine.counts.snapshot().counts, theirs.counts.snapshot().counts
+            )
+        whole = SerialBackend().build(source, spec).snapshot()
+        assert np.array_equal(built.snapshot().counts, whole.counts)
 
 
 class TestStreamingAuditorIngest:

@@ -179,3 +179,49 @@ class TestIterCsvChunks:
 
         with pytest.raises(CsvParseError):
             list(iter_csv_chunks(csv_path, chunk_rows=0))
+
+
+class TestByteOrderMark:
+    """An Excel-style UTF-8 BOM is an encoding marker, not header text."""
+
+    BOM = "\ufeff".encode("utf-8")
+
+    @pytest.fixture
+    def bom_path(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(self.BOM + b"g,r,y\r\na,x,1\r\nb,z,0\r\na,z,1\r\n")
+        return path
+
+    def test_read_csv_text_strips_bom(self):
+        table = read_csv_text("\ufeffg,y\na,1\n")
+        assert table.column_names == ["g", "y"]
+
+    def test_plan_names_and_byte_offset(self, bom_path):
+        from repro.tabular.csv_io import CsvPlan
+
+        plan = CsvPlan.from_csv(bom_path, columns=["g", "y"])
+        assert plan.names == ("g", "r", "y")
+        assert plan.data_offset == len(self.BOM) + len(b"g,r,y\r\n")
+
+    def test_headerless_bom_is_not_data(self, tmp_path):
+        from repro.tabular.csv_io import CsvPlan, iter_csv_chunks
+
+        path = tmp_path / "bare.csv"
+        path.write_bytes(self.BOM + b"a,1\nb,0\n")
+        plan = CsvPlan.from_csv(path, header=False, column_names=["g", "y"])
+        assert plan.data_offset == len(self.BOM)
+        (chunk,) = list(iter_csv_chunks(path, plan=plan))
+        assert chunk.column("g").levels == ("a", "b")
+
+    def test_chunks_and_column_cache(self, bom_path, tmp_path):
+        from repro.tabular.colcache import ColumnCache, build_column_cache
+        from repro.tabular.csv_io import CsvPlan, iter_csv_chunks
+
+        (chunk,) = list(iter_csv_chunks(bom_path, columns=["g", "y"]))
+        assert chunk.column("g").to_list() == ["a", "b", "a"]
+        plan = CsvPlan.from_csv(bom_path, columns=["g", "y"])
+        cache_path = build_column_cache(bom_path, plan, tmp_path / "excel.rccol")
+        with ColumnCache.open(cache_path, source_path=bom_path, plan=plan) as cache:
+            assert cache.column_names == ("g", "y")
+            assert cache.levels("g") == ("a", "b")
+            assert cache.codes("g").tolist() == [0, 1, 0]
