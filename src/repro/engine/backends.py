@@ -28,28 +28,22 @@ machines, and every topology produces bit-identical results.
 
 :class:`ProcessPoolBackend`
     Fans spans of the source out to a persistent pool of worker
-    processes and merges their counts. Three engine properties make it
+    processes and merges their counts. Two engine properties make it
     fast rather than merely parallel:
 
     * **Pipelined coordinator** — task submission runs a bounded
       in-flight window ahead of consumption, so the coordinator merges
-      chunk *i* while workers parse chunks *i+1 … i+W*; the old
-      parse↔merge barrier is gone. Results still arrive in chunk order,
-      preserving the chunk-aligned epsilon-trace contract.
-    * **Shared-memory transport** (:mod:`repro.engine.ipc`) — workers
-      write each chunk's count tensor into a slot of a shared-memory
-      ring (seq-stamped, CRC-checked) and send only a small descriptor
-      through the result queue; the coordinator decodes the tensor in
-      place and recycles the slot. No per-chunk pickling of counts.
+      chunk *i* while workers parse chunks *i+1 … i+W*. Results still
+      arrive in chunk order, preserving the chunk-aligned epsilon-trace
+      contract. Each result is one chunk's count-tensor state (a few
+      hundred bytes), pickled through the pool's result queue.
     * **Columnar cache awareness** — when the :class:`CsvSource` names
       a ``.rccol`` column cache (:mod:`repro.tabular.colcache`), workers
       read their row ranges as mmap slices of pre-factorised int32
       codes instead of re-parsing CSV text.
 
-    Correctness never leans on any of it: every transport validates
-    (CRC + sequence stamps), every fallback (oversized state → result
-    queue) is exact, and chunk boundaries are byte-identical to
-    :class:`SerialBackend`'s.
+    Chunk boundaries are byte-identical to :class:`SerialBackend`'s and
+    the merge algebra is exact, so every pooled result is too.
 
 The pool is constructed lazily and **reused across calls** on the same
 backend instance; call :meth:`ProcessPoolBackend.close` (or use the
@@ -64,18 +58,10 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.streaming import StreamingContingency
-from repro.engine.ipc import (
-    SharedCountRing,
-    SlotDescriptor,
-    attach_ring,
-    decode_counts_state,
-    encode_counts_state,
-    ring_slot_size,
-)
 from repro.exceptions import CsvParseError, ValidationError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -210,36 +196,33 @@ def tree_merge(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _SpanTask:
-    """One worker assignment: parse/count these spans, ship their states.
+    """One worker assignment: count one unit of the source, ship its state.
 
-    Exactly one of two read modes is active: CSV mode (``spans`` byte
-    ranges parsed under ``plan``) or cache mode (``row_ranges`` sliced
-    from the mmap'd column cache at ``cache_path``). When ``ring`` is
-    set, each span's encoded count state goes into its preassigned
-    ``(slot, seq)`` of the shared-memory ring and only a descriptor
-    returns through the queue; otherwise the raw state dict does.
+    Exactly one of two read modes is active: CSV mode (``span``, a byte
+    range parsed under ``plan``) or cache mode (``row_range``, sliced
+    from the mmap'd column cache at ``cache_path``). ``index`` is the
+    unit's position in the coordinator's ordered task list.
     """
 
     path: str
     plan: CsvPlan | None
     spec: ContingencySpec
-    first_index: int
+    index: int
     batch_rows: int = 4096
-    spans: tuple[CsvSpan, ...] = ()
+    span: CsvSpan | None = None
     cache_path: str | None = None
-    cache_token: tuple[int, int] | None = None
-    row_ranges: tuple[tuple[int, int], ...] = ()
+    cache_token: tuple[int, ...] | None = None
+    row_range: tuple[int, int] | None = None
     schema: Schema | None = None
-    ring: tuple[str, int, int] | None = None
-    slots: tuple[tuple[int, int], ...] = ()
 
 
 # One validated cache mapping per worker process, keyed by (path, token)
-# so a rebuilt cache file (new size/mtime) is reopened, never read stale.
-_WORKER_CACHES: dict[tuple[str, tuple[int, int]], ColumnCache] = {}
+# so a rebuilt cache file (new inode, size or mtime) is reopened, never
+# read stale.
+_WORKER_CACHES: dict[tuple[str, tuple[int, ...]], ColumnCache] = {}
 
 
-def _worker_cache(path: str, token: tuple[int, int]) -> ColumnCache:
+def _worker_cache(path: str, token: tuple[int, ...]) -> ColumnCache:
     key = (path, tuple(token))
     cache = _WORKER_CACHES.get(key)
     if cache is None:
@@ -251,7 +234,8 @@ def _worker_cache(path: str, token: tuple[int, int]) -> ColumnCache:
     return cache
 
 
-def _count_csv_span(task: _SpanTask, span: CsvSpan) -> StreamingContingency:
+def _count_csv_span(task: _SpanTask) -> StreamingContingency:
+    span = task.span
     accumulator = task.spec.new_accumulator()
     blocks = iter_code_blocks(task.path, task.plan, span.start, span.end)
     for chunk in iter_code_chunks(blocks, task.batch_rows):
@@ -267,10 +251,9 @@ def _count_csv_span(task: _SpanTask, span: CsvSpan) -> StreamingContingency:
     return accumulator
 
 
-def _count_cache_range(
-    task: _SpanTask, start: int, stop: int
-) -> StreamingContingency:
+def _count_cache_range(task: _SpanTask) -> StreamingContingency:
     cache = _worker_cache(task.cache_path, task.cache_token)
+    start, stop = task.row_range
     accumulator = task.spec.new_accumulator()
     for batch_start in range(start, stop, task.batch_rows):
         accumulator.update_table(
@@ -283,37 +266,18 @@ def _count_cache_range(
     return accumulator
 
 
-def _count_task(task: _SpanTask) -> list[tuple[int, int, Any]]:
-    """Worker entry point: ``(span index, n_rows, transport)`` per span.
+def _count_task(task: _SpanTask) -> tuple[int, int, dict[str, Any]]:
+    """Worker entry point: ``(task index, n_rows, count state dict)``.
 
     Module-level so it pickles under every multiprocessing start
-    method. ``transport`` is a :class:`SlotDescriptor` when the state
-    went through the shared-memory ring, or the raw state dict when no
-    ring is attached / the state outgrew its slot. Workers never
-    estimate probabilities — they only count — so the coordinator's
-    estimator choice cannot skew shard results.
+    method. Workers never estimate probabilities — they only count — so
+    the coordinator's estimator choice cannot skew shard results.
     """
-    units: Sequence[Any] = (
-        task.row_ranges if task.cache_path is not None else task.spans
-    )
-    ring = attach_ring(*task.ring) if task.ring is not None else None
-    results: list[tuple[int, int, Any]] = []
-    for offset, unit in enumerate(units):
-        if task.cache_path is not None:
-            accumulator = _count_cache_range(task, unit[0], unit[1])
-        else:
-            accumulator = _count_csv_span(task, unit)
-        state = accumulator.state_dict()
-        transport: Any = state
-        if ring is not None:
-            payload = encode_counts_state(state)
-            if len(payload) <= ring.payload_capacity:
-                slot, seq = task.slots[offset]
-                transport = ring.write_slot(slot, seq, payload)
-        results.append(
-            (task.first_index + offset, accumulator.n_rows, transport)
-        )
-    return results
+    if task.cache_path is not None:
+        accumulator = _count_cache_range(task)
+    else:
+        accumulator = _count_csv_span(task)
+    return task.index, accumulator.n_rows, accumulator.state_dict()
 
 
 class ExecutionBackend:
@@ -448,29 +412,13 @@ class ProcessPoolBackend(ExecutionBackend):
 
     ``workers`` processes each read their assignment independently —
     byte-range CSV seeks, or mmap slices of the column cache — and ship
-    compact count-tensor states back over the shared-memory ring (or
-    the result queue as fallback). Results are bit-identical to
-    :class:`SerialBackend` because the counts are the same integers and
-    the merge algebra is exact.
+    compact count-tensor states back through the pool's result queue.
+    Results are bit-identical to :class:`SerialBackend` because the
+    counts are the same integers and the merge algebra is exact.
 
-    Parameters
-    ----------
-    workers:
-        Worker process count.
-    pipelined:
-        Overlap worker parsing with coordinator merging through a
-        bounded in-flight window (default). ``False`` restores the
-        PR-4 blocking coordinator — kept for benchmarking the overlap,
-        not for production use.
-    use_shared_memory:
-        Transport count tensors through a :class:`SharedCountRing`
-        (default). ``False`` ships states through the result queue
-        (pickled) — again, the benchmark baseline.
-    inflight_per_worker:
-        In-flight window (and ring capacity) as a multiple of
-        ``workers``; memory stays fixed at
-        ``workers * inflight_per_worker`` encoded states regardless of
-        stream length.
+    The coordinator keeps ``max(2, 2 * workers)`` tasks in flight, so
+    memory stays fixed at that many count states regardless of stream
+    length.
 
     The worker pool is created lazily on first use and **reused across
     calls**; :meth:`close` (or the context-manager exit) shuts it down.
@@ -484,22 +432,13 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         workers: int,
         *,
-        pipelined: bool = True,
-        use_shared_memory: bool = True,
-        inflight_per_worker: int = 2,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ):
         if int(workers) < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        if int(inflight_per_worker) < 1:
-            raise ValidationError(
-                f"inflight_per_worker must be >= 1, got {inflight_per_worker}"
-            )
         self.workers = int(workers)
-        self.pipelined = bool(pipelined)
-        self.use_shared_memory = bool(use_shared_memory)
-        self.inflight_per_worker = int(inflight_per_worker)
+        self._window = max(2, 2 * self.workers)
         self._pool: ProcessPoolExecutor | None = None
         self._closed = False
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -512,8 +451,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 "repro_engine_stage_seconds",
                 "Coordinator time per pipeline stage: submit (task "
                 "fan-out), parse (wait for the next worker result), "
-                "decode (materialise counts from the transport), merge "
-                "(fold into the running total).",
+                "decode (materialise counts from the result state), "
+                "merge (fold into the running total).",
                 labels={"stage": stage},
             )
             for stage in ("submit", "parse", "decode", "merge")
@@ -522,11 +461,6 @@ class ProcessPoolBackend(ExecutionBackend):
             "repro_engine_inflight_window",
             "Tasks currently in flight in the pipelined coordinator "
             "window (0 when idle).",
-        )
-        self._metric_ring_fallback = registry.counter(
-            "repro_engine_ring_fallback_total",
-            "Chunk states too large for a shared-memory ring slot, "
-            "shipped through the pickled result queue instead.",
         )
         self._metric_chunks = registry.counter(
             "repro_engine_chunks_total",
@@ -543,11 +477,7 @@ class ProcessPoolBackend(ExecutionBackend):
         )
 
     def __repr__(self) -> str:
-        return (
-            f"ProcessPoolBackend(workers={self.workers}, "
-            f"pipelined={self.pipelined}, "
-            f"use_shared_memory={self.use_shared_memory})"
-        )
+        return f"ProcessPoolBackend(workers={self.workers})"
 
     # ------------------------------------------------------------------
     # Pool lifecycle (reused across build/iter_chunk_counts calls)
@@ -598,62 +528,91 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Coordinator internals
     # ------------------------------------------------------------------
-    @property
-    def _window(self) -> int:
-        return max(2, self.workers * self.inflight_per_worker)
+    def _tasks(
+        self, source: CsvSource, spec: ContingencySpec, *, whole: bool
+    ) -> list[_SpanTask]:
+        """Split the source into single-unit tasks, in row order.
 
-    def _new_ring(self, spec: ContingencySpec) -> SharedCountRing | None:
-        if not self.use_shared_memory:
-            return None
-        return SharedCountRing(self._window, ring_slot_size(spec))
+        ``whole`` (for :meth:`build`) cuts ``2 * window`` even parts, more
+        than there are workers so merging overlaps parsing; otherwise
+        each task is one ``source.chunk_rows`` chunk, with the same
+        boundaries as :class:`SerialBackend`'s.
+        """
+        plan = source.plan()
+        parts = self._window * 2
+        if source.column_cache is None:
+            spans = (
+                plan_csv_shards(source.path, plan, parts)
+                if whole
+                else plan_csv_chunks(source.path, plan, source.chunk_rows)
+            )
+            return [
+                _SpanTask(
+                    source.path, plan, spec, index, source.chunk_rows,
+                    span=span,
+                )
+                for index, span in enumerate(spans)
+            ]
+        cache_path, cache_token, n_rows = self._prepare_cache(source, plan)
+        ranges = (
+            self._even_ranges(n_rows, parts)
+            if whole
+            else self._chunk_ranges(n_rows, source.chunk_rows)
+        )
+        return [
+            _SpanTask(
+                source.path, None, spec, index, source.chunk_rows,
+                cache_path=cache_path,
+                cache_token=cache_token,
+                row_range=row_range,
+                schema=source.schema,
+            )
+            for index, row_range in enumerate(ranges)
+        ]
 
     @staticmethod
-    def _ring_fields(
-        ring: SharedCountRing | None, seq: int
-    ) -> tuple[tuple[str, int, int] | None, tuple[tuple[int, int], ...]]:
-        if ring is None:
-            return None, ()
-        return (
-            (ring.name, ring.n_slots, ring.slot_size),
-            ((seq % ring.n_slots, seq),),
-        )
+    def _prepare_cache(
+        source: CsvSource, plan: CsvPlan
+    ) -> tuple[str, tuple[int, int, int, int], int]:
+        """Ensure the cache is fresh; return (path, file token, n_rows).
 
-    def _materialise(
-        self, ring: SharedCountRing | None, transport: Any
-    ) -> StreamingContingency:
-        """Decode a worker's transport into an accumulator (one copy)."""
-        started = self._metric_clock()
-        if isinstance(transport, SlotDescriptor):
-            if ring is None:
-                raise ValidationError(
-                    "received a shared-memory descriptor without a ring"
-                )
-            view = ring.read_slot(transport)
-            accumulator = StreamingContingency.from_state(
-                decode_counts_state(view)
-            )
-            view.release()
-        else:
-            if ring is not None:
-                # The state outgrew its ring slot and came back pickled.
-                self._metric_ring_fallback.inc()
-            accumulator = StreamingContingency.from_state(transport)
-        self._metric_stage_seconds["decode"].observe(
-            self._metric_clock() - started
-        )
-        self._metric_chunks.inc()
-        self._metric_rows.inc(accumulator.n_rows)
-        return accumulator
+        The token names the file's inode as well as its size and mtime:
+        a same-size rebuild landing in the same mtime granule is still a
+        new file (``os.replace``), and a worker's live mapping of the old
+        one keeps that inode from being reused.
+        """
+        cache = source.open_cache(plan)
+        try:
+            n_rows = cache.n_rows
+        finally:
+            cache.close()
+        stat = os.stat(source.column_cache)
+        token = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        return source.column_cache, token, n_rows
 
-    def _drive(self, tasks) -> Iterator[list[tuple[int, int, Any]]]:
-        """Run single-span tasks with a bounded in-flight window.
+    @staticmethod
+    def _even_ranges(n_rows: int, n_parts: int) -> list[tuple[int, int]]:
+        bounds = [n_rows * part // n_parts for part in range(n_parts + 1)]
+        return [
+            (start, stop)
+            for start, stop in zip(bounds, bounds[1:])
+            if stop > start
+        ]
 
-        Results come back in task (= chunk) order; up to ``_window``
-        tasks are submitted ahead of consumption, so workers parse
-        ahead while the coordinator merges — and because a task's ring
-        slot is ``seq % n_slots``, the window bound *is* the slot
-        recycling rule: seq ``s`` reuses the slot of seq ``s - W``,
-        which was consumed before ``s`` could be submitted.
+    @staticmethod
+    def _chunk_ranges(n_rows: int, chunk_rows: int) -> list[tuple[int, int]]:
+        return [
+            (start, min(start + chunk_rows, n_rows))
+            for start in range(0, n_rows, chunk_rows)
+        ]
+
+    def _drive(
+        self, tasks: list[_SpanTask]
+    ) -> Iterator[tuple[int, int, dict[str, Any]]]:
+        """Run tasks with a bounded in-flight window, in task order.
+
+        Up to ``_window`` tasks are submitted ahead of consumption, so
+        workers parse ahead while the coordinator merges.
         """
         clock = self._metric_clock
         if self.workers == 1:
@@ -689,7 +648,7 @@ class ProcessPoolBackend(ExecutionBackend):
         except BrokenProcessPool:
             # A worker died mid-chunk (OOM-kill, segfault, SIGKILL).
             # The pool is unusable: discard it so the next call starts
-            # a fresh one, and let the caller's finally unlink the ring.
+            # a fresh one.
             self._discard_pool()
             raise
         finally:
@@ -697,99 +656,36 @@ class ProcessPoolBackend(ExecutionBackend):
             for future in pending:
                 future.cancel()
 
-    def _blocking_results(self, tasks: list[_SpanTask]):
-        """The PR-4 coordinator: grouped tasks, full barrier per batch."""
-        if not tasks:
-            return
-        if len(tasks) == 1 or self.workers == 1:
-            for task in tasks:
-                yield _count_task(task)
-            return
-        pool = self._ensure_pool()
-        try:
-            yield from pool.map(_count_task, tasks)
-        except BrokenProcessPool:
-            self._discard_pool()
-            raise
+    def _materialise(self, state: dict[str, Any]) -> StreamingContingency:
+        """Rebuild a worker's count state as an accumulator."""
+        started = self._metric_clock()
+        accumulator = StreamingContingency.from_state(state)
+        self._metric_stage_seconds["decode"].observe(
+            self._metric_clock() - started
+        )
+        self._metric_chunks.inc()
+        self._metric_rows.inc(accumulator.n_rows)
+        return accumulator
 
-    # ------------------------------------------------------------------
-    # Task planning
-    # ------------------------------------------------------------------
-    def _csv_chunk_tasks(
-        self,
-        source: CsvSource,
-        plan: CsvPlan,
-        spec: ContingencySpec,
-        spans: list[CsvSpan],
-        ring: SharedCountRing | None,
-    ) -> Iterator[_SpanTask]:
-        for seq, span in enumerate(spans):
-            ring_fields, slots = self._ring_fields(ring, seq)
-            yield _SpanTask(
-                source.path,
-                plan,
-                spec,
-                seq,
-                source.chunk_rows,
-                spans=(span,),
-                ring=ring_fields,
-                slots=slots,
-            )
-
-    def _cache_tasks(
-        self,
-        source: CsvSource,
-        spec: ContingencySpec,
-        cache_path: str,
-        cache_token: tuple[int, int],
-        ranges: list[tuple[int, int]],
-        ring: SharedCountRing | None,
-    ) -> Iterator[_SpanTask]:
-        for seq, row_range in enumerate(ranges):
-            ring_fields, slots = self._ring_fields(ring, seq)
-            yield _SpanTask(
-                source.path,
-                None,
-                spec,
-                seq,
-                source.chunk_rows,
-                cache_path=cache_path,
-                cache_token=cache_token,
-                row_ranges=(row_range,),
-                schema=source.schema,
-                ring=ring_fields,
-                slots=slots,
-            )
-
-    def _prepare_cache(
-        self, source: CsvSource, plan: CsvPlan
-    ) -> tuple[str, tuple[int, int], int] | None:
-        """Ensure the cache is fresh; return (path, file token, n_rows)."""
-        if source.column_cache is None:
-            return None
-        cache = source.open_cache(plan)
-        try:
-            n_rows = cache.n_rows
-        finally:
-            cache.close()
-        stat = os.stat(source.column_cache)
-        return source.column_cache, (stat.st_size, stat.st_mtime_ns), n_rows
-
-    @staticmethod
-    def _even_ranges(n_rows: int, n_parts: int) -> list[tuple[int, int]]:
-        bounds = [n_rows * part // n_parts for part in range(n_parts + 1)]
-        return [
-            (start, stop)
-            for start, stop in zip(bounds, bounds[1:])
-            if stop > start
-        ]
-
-    @staticmethod
-    def _chunk_ranges(n_rows: int, chunk_rows: int) -> list[tuple[int, int]]:
-        return [
-            (start, min(start + chunk_rows, n_rows))
-            for start in range(0, n_rows, chunk_rows)
-        ]
+    def _ingest(
+        self, source: CsvSource, tasks: list[_SpanTask]
+    ) -> Iterator[ChunkCounts]:
+        """tasks → :meth:`_drive` → :meth:`_materialise`, in task order."""
+        results = self._drive(tasks)
+        # The "ingest" span stays on this thread's span stack while the
+        # generator is suspended, so a consumer folding chunks between
+        # yields (build's and the streaming auditor's "merge" spans)
+        # nests under it in the trace.
+        with self.tracer.span("ingest", backend=self.name, path=source.path):
+            while True:
+                with self.tracer.span("parse"):
+                    result = next(results, None)
+                if result is None:
+                    return
+                index, n_rows, state = result
+                with self.tracer.span("decode", chunk=index, rows=n_rows):
+                    counts = self._materialise(state)
+                yield ChunkCounts(index, n_rows, counts)
 
     # ------------------------------------------------------------------
     # The backend contract
@@ -797,166 +693,30 @@ class ProcessPoolBackend(ExecutionBackend):
     def build(
         self, source: CsvSource, spec: ContingencySpec
     ) -> StreamingContingency:
-        plan = source.plan()
-        cached = self._prepare_cache(source, plan)
-        ring = self._new_ring(spec) if self.pipelined else None
-        try:
-            if cached is not None:
-                cache_path, cache_token, n_rows = cached
-                if n_rows == 0:
-                    raise CsvParseError("no data rows found")
-                # More parts than workers so merging overlaps parsing.
-                ranges = self._even_ranges(n_rows, self._window * 2)
-                tasks = self._cache_tasks(
-                    source, spec, cache_path, cache_token, ranges, ring
+        tasks = self._tasks(source, spec, whole=True)
+        merged: StreamingContingency | None = None
+        clock = self._metric_clock
+        for chunk in self._ingest(source, tasks):
+            if not chunk.n_rows:
+                continue
+            merge_started = clock()
+            with self.tracer.span("merge", chunk=chunk.index):
+                merged = (
+                    chunk.counts
+                    if merged is None
+                    else merged.merge(chunk.counts)
                 )
-            elif self.pipelined:
-                spans = plan_csv_shards(
-                    source.path, plan, self._window * 2
-                )
-                tasks = self._csv_chunk_tasks(source, plan, spec, spans, ring)
-            else:
-                spans = plan_csv_shards(source.path, plan, self.workers)
-                tasks = [
-                    _SpanTask(
-                        source.path,
-                        plan,
-                        spec,
-                        index,
-                        source.chunk_rows,
-                        spans=(span,),
-                    )
-                    for index, span in enumerate(spans)
-                ]
-            merged: StreamingContingency | None = None
-            results = iter(
-                self._drive(tasks)
-                if self.pipelined
-                else self._blocking_results(list(tasks))
+            self._metric_stage_seconds["merge"].observe(
+                clock() - merge_started
             )
-            clock = self._metric_clock
-            with self.tracer.span(
-                "ingest", backend=self.name, path=source.path
-            ):
-                while True:
-                    with self.tracer.span("parse"):
-                        batch = next(results, None)
-                    if batch is None:
-                        break
-                    for _index, n_rows, transport in batch:
-                        if not n_rows:
-                            continue
-                        with self.tracer.span(
-                            "decode", chunk=_index, rows=n_rows
-                        ):
-                            counts = self._materialise(ring, transport)
-                        merge_started = clock()
-                        with self.tracer.span("merge", chunk=_index):
-                            merged = (
-                                counts
-                                if merged is None
-                                else merged.merge(counts)
-                            )
-                        self._metric_stage_seconds["merge"].observe(
-                            clock() - merge_started
-                        )
-            if merged is None:
-                raise CsvParseError("no data rows found")
-            return merged
-        finally:
-            if ring is not None:
-                ring.destroy()
+        if merged is None:
+            raise CsvParseError("no data rows found")
+        return merged
 
     def iter_chunk_counts(
         self, source: CsvSource, spec: ContingencySpec
     ) -> Iterator[ChunkCounts]:
-        plan = source.plan()
-        cached = self._prepare_cache(source, plan)
-        ring = self._new_ring(spec) if self.pipelined else None
-        try:
-            if cached is not None:
-                cache_path, cache_token, n_rows = cached
-                ranges = self._chunk_ranges(n_rows, source.chunk_rows)
-                if not ranges:
-                    raise CsvParseError("no data rows found")
-                tasks = self._cache_tasks(
-                    source, spec, cache_path, cache_token, ranges, ring
-                )
-            else:
-                spans = plan_csv_chunks(source.path, plan, source.chunk_rows)
-                if not spans:
-                    raise CsvParseError("no data rows found")
-                if self.pipelined:
-                    tasks = self._csv_chunk_tasks(
-                        source, plan, spec, spans, ring
-                    )
-                else:
-                    tasks = self._shard_tasks(
-                        source.path, plan, spec, spans, source.chunk_rows
-                    )
-            results = iter(
-                self._drive(tasks)
-                if self.pipelined
-                else self._blocking_results(list(tasks))
-            )
-            # The "ingest" span stays on this thread's span stack while
-            # the generator is suspended, so a consumer folding chunks
-            # between yields (the streaming auditor's "merge" spans)
-            # nests under it in the trace.
-            with self.tracer.span(
-                "ingest", backend=self.name, path=source.path
-            ):
-                while True:
-                    with self.tracer.span("parse"):
-                        batch = next(results, None)
-                    if batch is None:
-                        break
-                    for index, n_rows, transport in batch:
-                        with self.tracer.span(
-                            "decode", chunk=index, rows=n_rows
-                        ):
-                            counts = self._materialise(ring, transport)
-                        yield ChunkCounts(index, n_rows, counts)
-        finally:
-            if ring is not None:
-                ring.destroy()
-
-    def _shard_tasks(
-        self,
-        path: str,
-        plan: CsvPlan,
-        spec: ContingencySpec,
-        spans: list[CsvSpan],
-        batch_rows: int,
-    ) -> list[_SpanTask]:
-        """Contiguous, byte-balanced groups of chunk spans, one per worker."""
-        total = sum(span.end - span.start for span in spans)
-        n_shards = min(self.workers, len(spans))
-        tasks: list[_SpanTask] = []
-        cursor = 0
-        consumed = 0
-        for shard in range(n_shards):
-            remaining_target = (total * (shard + 1)) // n_shards
-            group: list[CsvSpan] = []
-            first = cursor
-            while cursor < len(spans) and (
-                consumed < remaining_target or not group
-            ):
-                group.append(spans[cursor])
-                consumed += spans[cursor].end - spans[cursor].start
-                cursor += 1
-            if group:
-                tasks.append(
-                    _SpanTask(
-                        path,
-                        plan,
-                        spec,
-                        first,
-                        batch_rows,
-                        spans=tuple(group),
-                    )
-                )
-        # The last shard's target is the exact total, so the loop above
-        # always drains every span.
-        assert cursor == len(spans)
-        return tasks
+        tasks = self._tasks(source, spec, whole=False)
+        if not tasks:
+            raise CsvParseError("no data rows found")
+        yield from self._ingest(source, tasks)

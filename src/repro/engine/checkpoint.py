@@ -58,6 +58,7 @@ import numpy as np
 from repro.core.streaming import StreamingContingency
 from repro.engine.backends import tree_merge
 from repro.exceptions import CheckpointError
+from repro.utils.fileio import write_atomic
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -117,18 +118,6 @@ def _contingency_header(state: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _write_atomic(path: Path, blob: bytes) -> None:
-    temporary = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    try:
-        with temporary.open("wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-
-
 def _save(path: str | Path, header: dict[str, Any], counts: np.ndarray) -> None:
     payload = np.ascontiguousarray(counts, dtype="<i8").tobytes()
     header_bytes = json.dumps(
@@ -146,7 +135,7 @@ def _save(path: str | Path, header: dict[str, Any], counts: np.ndarray) -> None:
         + header_bytes
         + payload
     )
-    _write_atomic(Path(path), blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Any], np.ndarray]:

@@ -44,7 +44,6 @@ process is killed.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 import time
@@ -85,6 +84,7 @@ from repro.monitor.store import (
 )
 from repro.monitor.wal import FileSystem, WriteAheadLog
 from repro.obs.metrics import MetricsRegistry
+from repro.utils.fileio import write_atomic
 
 __all__ = [
     "BatchResult",
@@ -1077,12 +1077,7 @@ class MonitorRegistry:
             indent=2,
             sort_keys=True,
         )
-        temporary = config_path.parent / f"{config_path.name}.tmp.{os.getpid()}"
-        try:
-            temporary.write_text(payload, encoding="utf-8")
-            os.replace(temporary, config_path)
-        finally:
-            temporary.unlink(missing_ok=True)
+        write_atomic(config_path, payload.encode("utf-8"))
 
     # ------------------------------------------------------------------
     # Lifecycle

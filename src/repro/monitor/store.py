@@ -51,6 +51,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import StoreError, ValidationError
+from repro.utils.fileio import REAL_FILESYSTEM, FileSystem, write_atomic
 
 __all__ = [
     "AuditHistoryStore",
@@ -123,32 +124,17 @@ def _segment_index(path: Path, prefix: str = _SEGMENT_PREFIX) -> int:
 # inside :class:`AuditHistoryStore`.
 
 
-def create_segment(path: str | Path, *, filesystem=None) -> Path:
+def create_segment(
+    path: str | Path, *, filesystem: FileSystem = REAL_FILESYSTEM
+) -> Path:
     """Atomically create an empty segment (preamble only) at ``path``.
 
-    Born via tmp + fsync + rename, so a crash never leaves a
-    half-written preamble. ``filesystem`` is the fault-injection seam
-    used by the WAL's tests; ``None`` uses the real ``os`` calls.
+    Born via tmp + fsync + rename (:func:`repro.utils.fileio.write_atomic`),
+    so a crash never leaves a half-written preamble. ``filesystem`` is
+    the fault-injection seam used by the WAL's tests.
     """
-    path = Path(path)
     preamble = _SEGMENT_PREAMBLE.pack(SEGMENT_MAGIC, SEGMENT_VERSION, 0)
-    temporary = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    opener = open if filesystem is None else filesystem.open
-    try:
-        with opener(temporary, "wb") as handle:
-            handle.write(preamble)
-            handle.flush()
-            if filesystem is None:
-                os.fsync(handle.fileno())
-            else:
-                filesystem.fsync(handle)
-        if filesystem is None:
-            os.replace(temporary, path)
-        else:
-            filesystem.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-    return path
+    return write_atomic(path, preamble, filesystem=filesystem)
 
 
 def encode_record(payload: bytes) -> bytes:

@@ -70,6 +70,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
+from repro.utils.fileio import REAL_FILESYSTEM, FileSystem
 
 __all__ = [
     "FileSystem",
@@ -80,29 +81,6 @@ __all__ = [
 
 _WAL_PREFIX = "wal-"
 _WAL_SUFFIX = ".seg"
-
-
-class FileSystem:
-    """Real filesystem operations behind one seam.
-
-    The write-ahead log performs every durability-relevant operation —
-    open, write (via the returned handle), fsync, rename — through an
-    instance of this class, so tests can substitute a
-    ``FaultyFileSystem`` that fails, short-writes, or stalls the Nth
-    call without monkeypatching ``os`` globally.
-    """
-
-    def open(self, path: str | Path, mode: str):
-        return open(path, mode)
-
-    def fsync(self, handle) -> None:
-        os.fsync(handle.fileno())
-
-    def replace(self, source: str | Path, destination: str | Path) -> None:
-        os.replace(source, destination)
-
-
-REAL_FILESYSTEM = FileSystem()
 
 
 def _segment_name(index: int) -> str:

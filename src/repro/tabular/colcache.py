@@ -62,7 +62,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import mmap
-import os
 import struct
 import zlib
 from collections.abc import Iterator
@@ -75,6 +74,7 @@ from repro.exceptions import CacheError, CsvParseError
 from repro.tabular.schema import Schema
 from repro.tabular.table import Table
 from repro.tabular.tokenize import CodeBlock, iter_code_blocks
+from repro.utils.fileio import write_atomic
 
 __all__ = [
     "COLCACHE_MAGIC",
@@ -133,17 +133,6 @@ def _plan_options(plan) -> dict[str, Any]:
         "missing_replacement": plan.missing_replacement,
         "skip_comment_prefix": plan.skip_comment_prefix,
     }
-
-
-def _write_atomic(path: Path, blob: bytes) -> None:
-    """tmp-write, fsync, rename — a reader never sees a torn cache."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def build_column_cache(
@@ -229,7 +218,7 @@ def build_column_cache(
         + header
         + payload
     )
-    _write_atomic(cache_path, blob)
+    write_atomic(cache_path, blob)
     return cache_path
 
 

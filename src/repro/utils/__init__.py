@@ -2,6 +2,7 @@
 
 These helpers are deliberately dependency-light (NumPy plus the standard
 library) so that every other subpackage can import them without cycles.
+:mod:`repro.utils.fileio` holds the one crash-safe file writer.
 """
 
 from repro.utils.formatting import (

@@ -9,10 +9,14 @@ bytes. Everything here asserts exact equality, never approximate.
 from __future__ import annotations
 
 import io
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.engine.backends as backends_module
 from repro.audit.auditor import FairnessAuditor
 from repro.audit.stream import ChunkProgress, StreamingAuditor
 from repro.cli import main
@@ -74,9 +78,12 @@ def stream_csv(tmp_path):
     return write_stream_csv(tmp_path / "stream.csv")
 
 
-def source_for(path, chunk_rows=128):
+def source_for(path, chunk_rows=128, column_cache=None):
     return CsvSource(
-        str(path), chunk_rows=chunk_rows, columns=(*PROTECTED, OUTCOME)
+        str(path),
+        chunk_rows=chunk_rows,
+        columns=(*PROTECTED, OUTCOME),
+        column_cache=column_cache,
     )
 
 
@@ -250,7 +257,7 @@ class TestBackendBitIdentity:
         (span,) = plan_csv_chunks(path, plan, 2)
         wrong = CsvSpan(span.start, span.end, span.n_rows + 1)
         spec = ContingencySpec(("g", "r"), "y")
-        task = _SpanTask(str(path), plan, spec, 0, 2, spans=(wrong,))
+        task = _SpanTask(str(path), plan, spec, 0, 2, span=wrong)
         with pytest.raises(CsvParseError, match="serial backend"):
             _count_task(task)
 
@@ -296,6 +303,51 @@ class TestBackendBitIdentity:
             )
         whole = SerialBackend().build(source, spec).snapshot()
         assert np.array_equal(built.snapshot().counts, whole.counts)
+
+
+    @pytest.mark.parallel
+    def test_cached_pool_build_matches_serial(self, stream_csv, tmp_path):
+        cache = str(tmp_path / "stream.rccol")
+        serial = SerialBackend().build(source_for(stream_csv), SPEC)
+        cached = source_for(stream_csv, column_cache=cache)
+        with ProcessPoolBackend(2) as backend:
+            cold = backend.build(cached, SPEC)
+            warm = backend.build(cached, SPEC)
+        assert os.path.exists(cache)
+        for pooled in (cold, warm):
+            assert np.array_equal(
+                pooled.snapshot().counts, serial.snapshot().counts
+            )
+
+    @pytest.mark.parallel
+    def test_pool_rereads_a_same_size_rebuilt_cache(
+        self, stream_csv, tmp_path
+    ):
+        # A same-size edit rebuilds the cache through os.replace. Even if
+        # the new file keeps the old file's size and mtime, the workers of
+        # a reused pool must count the new file, not their old mapping.
+        cache = tmp_path / "stream.rccol"
+        source = source_for(stream_csv, column_cache=str(cache))
+        with ProcessPoolBackend(2) as backend:
+            backend.build(source, SPEC)
+            before = os.stat(cache)
+            text = stream_csv.read_text(encoding="utf-8")
+            flipped = text.replace("y0", "y_").replace("y1", "y0")
+            stream_csv.write_text(
+                flipped.replace("y_", "y1"), encoding="utf-8"
+            )
+            later = before.st_mtime_ns + 1_000_000_000
+            os.utime(stream_csv, ns=(later, later))
+            source.open_cache().close()  # rebuilds the stale cache
+            after = os.stat(cache)
+            assert after.st_ino != before.st_ino
+            assert after.st_size == before.st_size
+            os.utime(cache, ns=(before.st_atime_ns, before.st_mtime_ns))
+            pooled = backend.build(source, SPEC)
+        serial = SerialBackend().build(source_for(stream_csv), SPEC)
+        assert np.array_equal(
+            pooled.snapshot().counts, serial.snapshot().counts
+        )
 
 
 class TestStreamingAuditorIngest:
@@ -356,6 +408,102 @@ class TestStreamingAuditorIngest:
         other = SPEC.new_accumulator().update([("g0", "r0", "y1")])
         with pytest.raises(ValidationError):
             windowed._absorb(other)
+
+
+class TestPoolLifecycle:
+    def test_pool_is_reused_across_calls(self, stream_csv):
+        backend = ProcessPoolBackend(2)
+        try:
+            backend.build(source_for(stream_csv), SPEC)
+            first = backend._pool
+            assert first is not None
+            backend.build(source_for(stream_csv), SPEC)
+            assert backend._pool is first
+        finally:
+            backend.close()
+
+    def test_closed_backend_refuses_work(self, stream_csv):
+        backend = ProcessPoolBackend(2)
+        backend.close()
+        with pytest.raises(ValidationError, match="closed"):
+            backend.build(source_for(stream_csv), SPEC)
+
+    def test_context_manager_closes(self, stream_csv):
+        with ProcessPoolBackend(2) as backend:
+            backend.build(source_for(stream_csv), SPEC)
+        assert backend._pool is None
+        with pytest.raises(ValidationError, match="closed"):
+            backend.build(source_for(stream_csv), SPEC)
+
+    def test_validation(self):
+        with pytest.raises(ValidationError, match="workers"):
+            ProcessPoolBackend(0)
+
+    def test_abandoned_iteration_leaves_the_pool_usable(self, stream_csv):
+        serial = SerialBackend().build(source_for(stream_csv), SPEC)
+        with ProcessPoolBackend(2) as backend:
+            iterator = backend.iter_chunk_counts(source_for(stream_csv), SPEC)
+            next(iterator)
+            iterator.close()  # consumer walks away mid-stream
+            assert backend._metric_inflight.value == 0
+            pooled = backend.build(source_for(stream_csv), SPEC)
+        assert np.array_equal(
+            pooled.snapshot().counts, serial.snapshot().counts
+        )
+
+
+# ----------------------------------------------------------------------
+# Worker-kill crash contract
+# ----------------------------------------------------------------------
+_real_count_task = backends_module._count_task
+
+
+def _sigkill_count_task(task):
+    """Replacement worker fn: die hard on a marked task, else count.
+
+    Module-level so the executor can pickle it by reference; the forked
+    workers inherit the patched module, so the coordinator's submission
+    of ``_count_task`` resolves to this function inside the pool too.
+    """
+    if task.index == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_count_task(task)
+
+
+@pytest.mark.parallel
+class TestWorkerCrash:
+    """A worker SIGKILLed mid-chunk surfaces as a clean error, the broken
+    pool is discarded, and the next call on the same backend starts a
+    fresh pool and reproduces the serial counts bit for bit."""
+
+    def assert_recovers(self, backend, stream_csv, monkeypatch):
+        assert backend._pool is None
+        monkeypatch.setattr(backends_module, "_count_task", _real_count_task)
+        serial = SerialBackend().build(source_for(stream_csv), SPEC)
+        recovered = backend.build(source_for(stream_csv), SPEC)
+        assert np.array_equal(
+            recovered.snapshot().counts, serial.snapshot().counts
+        )
+
+    def test_killed_worker_during_iteration(self, stream_csv, monkeypatch):
+        monkeypatch.setattr(
+            backends_module, "_count_task", _sigkill_count_task
+        )
+        with ProcessPoolBackend(2) as backend:
+            # Surfaced as-is: the ingest is dead and says so, it does
+            # not return partial counts.
+            with pytest.raises(BrokenProcessPool):
+                list(backend.iter_chunk_counts(source_for(stream_csv), SPEC))
+            self.assert_recovers(backend, stream_csv, monkeypatch)
+
+    def test_killed_worker_during_build(self, stream_csv, monkeypatch):
+        monkeypatch.setattr(
+            backends_module, "_count_task", _sigkill_count_task
+        )
+        with ProcessPoolBackend(2) as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.build(source_for(stream_csv), SPEC)
+            self.assert_recovers(backend, stream_csv, monkeypatch)
 
 
 class TestCliBackendMatrix:

@@ -13,6 +13,8 @@ corrupt) caches are ever rebuilt.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -339,6 +341,23 @@ class TestEnsure:
         with ensure_column_cache(csv_path, plan, cache_path) as cache:
             assert cache.n_rows == 257
         assert cache_path.stat().st_mtime_ns == before
+
+
+    def test_failed_write_leaves_no_temporary_file(
+        self, tmp_path, monkeypatch
+    ):
+        csv_path = write_csv(tmp_path / "data.csv", small_rows(40))
+        plan = CsvPlan.from_csv(csv_path)
+        cache_path = tmp_path / "data.rccol"
+
+        def refuse(*_args):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            build_column_cache(csv_path, plan, cache_path)
+        assert not cache_path.exists()
+        assert list(tmp_path.glob("*.tmp*")) == []
 
 
 class TestPlanHelpers:
