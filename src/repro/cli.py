@@ -220,6 +220,12 @@ How the fleet heals:
   trust     a restarted shard is half-open until --recovery-probes
             consecutive healthy probes, then closed (backoff resets).
 
+Start-up and shutdown:
+  the shard workers boot concurrently, so the router is up after the
+  slowest shard's start-up; SIGINT/SIGTERM stops the router, then sends
+  every shard SIGTERM at once and waits for all of them to checkpoint
+  and exit (each is SIGKILLed on its own after its grace period).
+
 Status:
   GET /healthz on the router reports per-shard pid, generation,
   breaker state, applied_seq, and WAL replay lag; fleet-status renders

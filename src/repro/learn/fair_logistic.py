@@ -31,7 +31,6 @@ import warnings
 from typing import Any
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.learn.base import BaseClassifier, encode_labels
@@ -89,6 +88,8 @@ class FairLogisticRegression(BaseClassifier):
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: Any, groups: Any = None) -> "FairLogisticRegression":
+        from scipy import optimize  # deferred, as in LogisticRegression.fit
+
         X = self._check_matrix(X)
         codes, classes = encode_labels(y)
         check_same_length(X, codes, "X and y")

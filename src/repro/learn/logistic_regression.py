@@ -12,7 +12,6 @@ import warnings
 from typing import Any
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.learn.base import BaseClassifier, encode_labels
@@ -76,6 +75,11 @@ class LogisticRegression(BaseClassifier):
     def fit(
         self, X: np.ndarray, y: Any, sample_weight: np.ndarray | None = None
     ) -> "LogisticRegression":
+        # Imported here, not at module level: SciPy would roughly double
+        # the start-up of every process importing repro, and no audit,
+        # engine or service path trains a model.
+        from scipy import optimize
+
         X = self._check_matrix(X)
         codes, classes = encode_labels(y)
         check_same_length(X, codes, "X and y")

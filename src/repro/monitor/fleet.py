@@ -66,6 +66,7 @@ import time
 import traceback
 import urllib.request
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -716,6 +717,19 @@ class ShardSupervisor:
 # ----------------------------------------------------------------------
 # The fleet
 # ----------------------------------------------------------------------
+def _each_concurrently(action: Callable[[Any], Any], items: list) -> None:
+    """Call ``action`` on every item at once, one thread per item, and
+    wait for all of them; then raise the first error, in item order."""
+    if not items:
+        return
+    with ThreadPoolExecutor(
+        max_workers=len(items), thread_name_prefix="repro-fleet"
+    ) as pool:
+        futures = [pool.submit(action, item) for item in items]
+    for future in futures:
+        future.result()
+
+
 class FleetSupervisor:
     """Spawns, probes, and heals the N shard workers of a fleet dir.
 
@@ -786,12 +800,16 @@ class FleetSupervisor:
         boot are the routine self-healing case. With
         ``require_all=False`` the failed shard is left to the breaker's
         backoff schedule.
+
+        The shards boot concurrently, one short-lived thread each, so
+        the fleet is up after the slowest worker's start-up rather than
+        after the sum of them; every spawn finishes before the
+        ``require_all`` check.
         """
         if self._thread is not None:
             raise MonitorError("the fleet supervisor is already running")
         now = self._clock()
-        for shard in self._shards:
-            shard.tick(now)
+        _each_concurrently(lambda shard: shard.tick(now), self._shards)
         if require_all:
             failed = [s for s in self._shards if not s.available]
             if failed:
@@ -819,12 +837,18 @@ class FleetSupervisor:
     def stop(self, *, grace: float = 10.0) -> None:
         """Stop supervising and shut every live shard down gracefully
         (SIGTERM → the worker checkpoints all monitors → SIGKILL after
-        ``grace`` seconds). Safe to call more than once."""
+        ``grace`` seconds). Safe to call more than once.
+
+        The shards stop concurrently: every live shard is sent SIGTERM
+        at once and then waited for, each against its own ``grace``
+        (and escalated to SIGKILL on its own), so shutdown takes the
+        slowest shard's checkpointing rather than the sum of them."""
         self._stop_event.set()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
         self._stopped = True
+        processes = []
         for supervisor in self._shards:
             with supervisor._lock:
                 process = supervisor.process
@@ -833,7 +857,8 @@ class FleetSupervisor:
                 supervisor.state = BREAKER_OPEN
                 supervisor.last_error = "fleet stopped"
             if process is not None:
-                process.terminate(grace)
+                processes.append(process)
+        _each_concurrently(lambda process: process.terminate(grace), processes)
 
     def __enter__(self) -> "FleetSupervisor":
         return self.start()

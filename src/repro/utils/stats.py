@@ -3,6 +3,10 @@
 The worked example in Section 5 of the paper uses group-conditional Normal
 score distributions with a threshold mechanism; these helpers provide the
 closed forms used by :mod:`repro.core.analytic`.
+
+Only :func:`normal_ppf` needs SciPy (``special.ndtri``); it imports it on
+its first call, so importing this module costs NumPy and the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.utils.validation import check_positive
 
@@ -52,6 +55,8 @@ def normal_ppf(q: float, mean: float = 0.0, std: float = 1.0) -> float:
         if q == 1.0:
             return math.inf
         raise ValueError(f"q must be in [0, 1], got {q}")
+    from scipy import special
+
     return mean + std * float(special.ndtri(q))
 
 

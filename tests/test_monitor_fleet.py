@@ -22,7 +22,9 @@ crashed — the PR's acceptance criterion.
 
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -219,7 +221,9 @@ def lag_health(lag: int) -> dict:
 class FakeProcess:
     """A scriptable stand-in for :class:`ShardProcess`."""
 
-    _counter = [4000]
+    # next() on a count is atomic, so fakes built by concurrently
+    # booting shards still get distinct pids and URLs.
+    _pids = itertools.count(4001)
 
     def __init__(self, index: int, *, start_error: Exception | None = None):
         self.index = index
@@ -227,8 +231,8 @@ class FakeProcess:
         self._alive = False
         self._exit = None
         self.killed = 0
-        FakeProcess._counter[0] += 1
-        self.pid = FakeProcess._counter[0]
+        self.terminated = 0
+        self.pid = next(FakeProcess._pids)
         self.url = f"http://127.0.0.1:9{self.pid}"
 
     def start(self) -> str:
@@ -250,6 +254,7 @@ class FakeProcess:
             self._exit = -9
 
     def terminate(self, grace: float = 10.0):
+        self.terminated += 1
         self.kill()
         return self._exit
 
@@ -532,11 +537,13 @@ class TestShardSupervisor:
 
 
 class TestFleetSupervisorUnit:
-    def test_stopped_fleet_is_unavailable(self, tmp_path):
+    @staticmethod
+    def fake_fleet(tmp_path, make_process=FakeProcess):
+        """A two-shard fleet over fakes, plus every process it creates."""
         processes: list[FakeProcess] = []
 
         def factory(shard: int) -> FakeProcess:
-            process = FakeProcess(shard)
+            process = make_process(shard)
             processes.append(process)
             return process
 
@@ -547,12 +554,71 @@ class TestFleetSupervisorUnit:
             prober=ScriptedProber(),
             clock=lambda: 0.0,
         )
+        return fleet, processes
+
+    def test_stopped_fleet_is_unavailable(self, tmp_path):
+        fleet, processes = self.fake_fleet(tmp_path)
         fleet.start()
         try:
-            assert fleet.shard_url(0) == processes[0].url
+            # Shards boot concurrently, so creation order is not shard
+            # order: find shard 0's process by its index.
+            (shard0,) = [p for p in processes if p.index == 0]
+            assert fleet.shard_url(0) == shard0.url
             assert fleet.fleet_health()["n_shards"] == 2
         finally:
             fleet.stop()
+        with pytest.raises(ShardUnavailable):
+            fleet.shard_url(0)
+
+    def test_shards_boot_concurrently(self, tmp_path):
+        """Each fake start() waits for the other shard's: the fleet can
+        only come up if both shards are spawned at the same time."""
+        both_starting = threading.Barrier(2, timeout=5)
+
+        class RendezvousProcess(FakeProcess):
+            def start(self) -> str:
+                both_starting.wait()
+                return super().start()
+
+        fleet, processes = self.fake_fleet(tmp_path, RendezvousProcess)
+        fleet.start()
+        try:
+            for shard in (0, 1):
+                (process,) = [p for p in processes if p.index == shard]
+                assert fleet.shard_url(shard) == process.url
+        finally:
+            fleet.stop()
+
+    def test_shards_stop_concurrently(self, tmp_path):
+        """Each fake terminate() waits for the other shard's: stop()
+        returns cleanly only if both shards are stopped at once."""
+        both_stopping = threading.Barrier(2, timeout=5)
+
+        class RendezvousProcess(FakeProcess):
+            def terminate(self, grace: float = 10.0):
+                both_stopping.wait()
+                return super().terminate(grace)
+
+        fleet, processes = self.fake_fleet(tmp_path, RendezvousProcess)
+        fleet.start()
+        fleet.stop()
+        assert [p.terminated for p in processes] == [1, 1]
+        assert not any(p.alive() for p in processes)
+
+    def test_boot_failure_names_the_shard_and_stops_the_rest(self, tmp_path):
+        def make_process(shard: int) -> FakeProcess:
+            error = OSError("no such interpreter") if shard == 1 else None
+            return FakeProcess(shard, start_error=error)
+
+        fleet, processes = self.fake_fleet(tmp_path, make_process)
+        with pytest.raises(
+            FleetError, match="shard 1: .*no such interpreter"
+        ) as raised:
+            fleet.start()
+        assert "shard 0" not in str(raised.value)
+        (shard0,) = [p for p in processes if p.index == 0]
+        assert shard0.terminated == 1
+        assert not shard0.alive()
         with pytest.raises(ShardUnavailable):
             fleet.shard_url(0)
 

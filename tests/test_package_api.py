@@ -2,6 +2,11 @@
 
 import doctest
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -134,3 +139,69 @@ class TestPublicDocstrings:
             item = getattr(module, name)
             if callable(item) or isinstance(item, type):
                 assert item.__doc__, f"{module_name}.{name} lacks a docstring"
+
+
+# What a one-shot audit, the service and the fleet router import at
+# start-up. None of them may pull in SciPy: it would roughly double every
+# process's start-up time for code those paths never call.
+STARTUP_MODULES = [
+    "repro",
+    "repro.cli",
+    "repro.audit.auditor",
+    "repro.engine.backends",
+    "repro.monitor.service",
+    "repro.monitor.fleet",
+    "repro.monitor.routing",
+]
+
+_STARTUP_PROBE = textwrap.dedent(
+    """
+    import importlib, json, sys
+
+    for name in sys.argv[1:]:
+        importlib.import_module(name)
+    loaded = sorted(
+        m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+    )
+    from repro.learn import LogisticRegression
+    from repro.utils.stats import normal_ppf
+
+    X = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.5], [4.0, 0.2]]
+    model = LogisticRegression().fit(X, [0, 0, 1, 0, 1])
+    print(json.dumps({
+        "scipy_at_import": loaded,
+        "ppf": repr(normal_ppf(0.975)),
+        "coef": [repr(c) for c in model.coef_],
+        "intercept": repr(model.intercept_),
+    }))
+    """
+)
+
+
+class TestStartupImports:
+    def test_no_scipy_on_the_import_path(self):
+        """A fresh process importing the start-up modules maps no SciPy,
+        yet normal_ppf and LogisticRegression.fit still work in it and
+        return exactly what this process computes."""
+        env = dict(os.environ)
+        package_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, *STARTUP_MODULES],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["scipy_at_import"] == []
+
+        from repro.learn import LogisticRegression
+        from repro.utils.stats import normal_ppf
+
+        X = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0], [3.0, 1.5], [4.0, 0.2]]
+        model = LogisticRegression().fit(X, [0, 0, 1, 0, 1])
+        assert report["ppf"] == repr(normal_ppf(0.975))
+        assert report["coef"] == [repr(c) for c in model.coef_]
+        assert report["intercept"] == repr(model.intercept_)
